@@ -628,9 +628,16 @@ pub fn ablation_heuristics(ex: &Experiments) -> Table {
         let mut deletions = 0usize;
         for w in &planted.wrong {
             let mut crowd = SingleExpert::new(PerfectOracle::new(ex.ground.clone()));
-            let out =
-                crowd_remove_wrong_answer_with(q, &mut d, w, &mut crowd, &mut *selector, true)
-                    .expect("removal succeeds");
+            let out = crowd_remove_wrong_answer_with(
+                q,
+                &mut d,
+                w,
+                &mut crowd,
+                &mut *selector,
+                true,
+                &mut [],
+            )
+            .expect("removal succeeds");
             questions += out.questions;
             deletions += out.edits.deletions();
         }

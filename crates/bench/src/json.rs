@@ -7,9 +7,17 @@
 //! exotica nobody writes into those files: numbers parse via `f64`, and
 //! `\uXXXX` escapes decode the BMP only (unpaired surrogates become the
 //! replacement character).
+//!
+//! Nesting is bounded by [`MAX_DEPTH`]: the parser recurses once per level,
+//! and `qoco-serve` feeds it untrusted request bodies, so a deep document
+//! is rejected with an error instead of overflowing the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The deepest array/object nesting a document may have. The documents
+/// this workspace writes nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,6 +43,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -98,6 +107,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -142,8 +153,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting exceeds the depth limit"));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -321,5 +343,33 @@ mod tests {
         let v = Json::parse(&good).unwrap();
         let cell = &v.get("results").unwrap().as_array().unwrap()[0];
         assert_eq!(cell.get("mean_ns").unwrap().as_f64(), Some(6_404_000.0));
+    }
+
+    /// Parse on a thread with a 2 MiB stack, the default for spawned
+    /// threads such as `qoco-serve`'s connection handlers.
+    fn parse_on_small_stack(doc: String) -> Result<Json, ParseError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&doc))
+            .expect("spawn parser thread")
+            .join()
+            .expect("the parser returns instead of overflowing its stack")
+    }
+
+    #[test]
+    fn deeply_nested_arrays_are_rejected() {
+        let err = parse_on_small_stack("[".repeat(200_000)).unwrap_err();
+        assert!(err.message.contains("depth limit"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_on_small_stack(at_limit).is_ok());
+    }
+
+    #[test]
+    fn deeply_nested_objects_are_rejected() {
+        let err = parse_on_small_stack("{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(err.message.contains("depth limit"), "{err}");
+        let at_limit = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse_on_small_stack(at_limit).is_ok());
     }
 }

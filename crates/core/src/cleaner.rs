@@ -8,19 +8,32 @@
 //! the outer loop runs until the view is verified complete and correct. By
 //! Proposition 3.3 every edit moves `D` towards `D_G`, so with a truthful
 //! oracle the loop converges.
+//!
+//! One loop runs every variant of Algorithm 3. It cleans a union of
+//! conjunctive queries — a CQ is the one-disjunct union — and keeps one
+//! [`MaterializedView`] per disjunct, so no sweep re-evaluates a query. A
+//! private sweep decides how questions reach the crowd: one at a time
+//! ([`clean_view`], [`clean_union_view`](crate::ucq_clean::clean_union_view))
+//! or batched over a whole verification sweep ([`clean_view_parallel`],
+//! Section 6.2). The union-only steps (asking a later disjunct about an
+//! answer the earlier ones rejected, and picking a disjunct to host a
+//! missing answer) run only when there is more than one disjunct.
 
 use std::collections::BTreeSet;
+use std::slice::from_ref;
 
-use qoco_crowd::{CompletenessEstimator, CrowdAccess, GroundTruthEstimator};
+use qoco_crowd::{CompletenessEstimator, CrowdAccess, CrowdError, GroundTruthEstimator, Oracle};
 use qoco_data::{Database, Tuple};
-use qoco_engine::MaterializedView;
-use qoco_query::ConjunctiveQuery;
+use qoco_engine::{Assignment, MaterializedView};
+use qoco_query::{embed_answer, ConjunctiveQuery};
+use qoco_telemetry::DecisionDetail;
 
 use crate::deletion::{crowd_remove_wrong_answer_tracked, DeletionStrategy};
 use crate::error::CleanError;
 use crate::insertion::{crowd_add_missing_answer_tracked, InsertionOptions};
+use crate::multi::ParallelMajorityCrowd;
 pub use crate::report::CleaningReport;
-use crate::report::{UnresolvedItem, UnresolvedPhase};
+use crate::report::UnresolvedPhase;
 use crate::split::SplitStrategyKind;
 
 /// Configuration for a full cleaning session.
@@ -64,108 +77,200 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
     config: CleaningConfig,
     estimator: &mut dyn CompletenessEstimator,
 ) -> Result<CleaningReport, CleanError> {
+    drive(
+        sequential(),
+        q.name(),
+        from_ref(q),
+        db,
+        crowd,
+        config,
+        estimator,
+    )
+}
+
+/// [`clean_view_with_estimator`] with a permissive estimator: the crowd's
+/// `COMPL(Q(D))` replies alone decide completeness — the setting of the
+/// paper's simulated-oracle experiments.
+pub fn clean_view<C: CrowdAccess + ?Sized>(
+    q: &ConjunctiveQuery,
+    db: &mut Database,
+    crowd: &mut C,
+    config: CleaningConfig,
+) -> Result<CleaningReport, CleanError> {
+    clean_view_with_estimator(q, db, crowd, config, &mut crowd_decides())
+}
+
+/// Algorithm 3 with the Section 6.2 parallel verification sweep: all
+/// unverified answers of `Q(D)` are verified concurrently and completion
+/// questions go to the whole panel at once; the wrong answers are then
+/// removed and the missing ones added sequentially (edits mutate `D`, and
+/// Proposition 3.3's monotonicity argument is per-edit).
+pub fn clean_view_parallel<O: Oracle + Send>(
+    q: &ConjunctiveQuery,
+    db: &mut Database,
+    crowd: &mut ParallelMajorityCrowd<O>,
+    config: CleaningConfig,
+) -> Result<CleaningReport, CleanError> {
+    let sweep: Sweep<ParallelMajorityCrowd<O>> = Sweep {
+        batched: true,
+        verify: |crowd, q, answers| crowd.verify_answers_parallel(q, answers),
+        missing: |crowd, q, known| crowd.missing_answers_parallel(q, known),
+    };
+    drive(
+        sweep,
+        q.name(),
+        from_ref(q),
+        db,
+        crowd,
+        config,
+        &mut crowd_decides(),
+    )
+}
+
+/// An estimator that never claims completeness (`usize::MAX` distinct
+/// answers will never be reached): the crowd's completeness judgement
+/// alone ends the insertion phase.
+pub(crate) fn crowd_decides() -> GroundTruthEstimator {
+    GroundTruthEstimator::new(usize::MAX)
+}
+
+/// The crowd's replies to `TRUE(Q, t)?` for a list of answers, in order.
+type Verdicts = Vec<Result<bool, CrowdError>>;
+
+/// Verified missing answers, plus the crowd failure that cut the reply
+/// short.
+type Missing = (Vec<Tuple>, Option<CrowdError>);
+
+/// How the loop puts `TRUE(Q, t)?` and `COMPL(Q(D))` to the crowd.
+pub(crate) struct Sweep<C: ?Sized> {
+    /// Verify every unverified answer up front (Section 6.2's "parallel
+    /// foreach") instead of one answer at a time, right before acting on it.
+    batched: bool,
+    /// `TRUE(q, t)?` for every `t` of a slice.
+    verify: fn(&mut C, &ConjunctiveQuery, &[Tuple]) -> Verdicts,
+    /// The missing answers of `q` beyond the known ones.
+    missing: fn(&mut C, &ConjunctiveQuery, &[Tuple]) -> Missing,
+}
+
+/// One question at a time, through [`CrowdAccess`].
+pub(crate) fn sequential<C: CrowdAccess + ?Sized>() -> Sweep<C> {
+    Sweep {
+        batched: false,
+        verify: |crowd, q, answers| answers.iter().map(|t| crowd.verify_answer(q, t)).collect(),
+        missing: |crowd, q, known| match crowd.next_missing_answer(q, known) {
+            Ok(t) => (t.into_iter().collect(), None),
+            Err(e) => (Vec::new(), Some(e)),
+        },
+    }
+}
+
+/// The Algorithm 3 loop over the union of `disjuncts`, named `name`.
+pub(crate) fn drive<C: CrowdAccess + ?Sized>(
+    sweep: Sweep<C>,
+    name: &str,
+    disjuncts: &[ConjunctiveQuery],
+    db: &mut Database,
+    crowd: &mut C,
+    config: CleaningConfig,
+    estimator: &mut dyn CompletenessEstimator,
+) -> Result<CleaningReport, CleanError> {
     let session_span = qoco_telemetry::span("clean.session")
-        .field("query", q.name().to_string())
+        .field("query", name.to_string())
         .field("deletion", format!("{:?}", config.deletion))
         .field("split", format!("{:?}", config.split));
     let mut report = CleaningReport::new();
     let mut verified: BTreeSet<Tuple> = BTreeSet::new();
-    // Answers the crowd could not be reached about: excluded from further
-    // sweeps so the outer loop still terminates when the crowd dies.
-    let mut skipped: BTreeSet<Tuple> = BTreeSet::new();
     let mut split = config.split.build();
-    let mut first = true;
-    // The answer set is maintained incrementally: every edit derived by the
-    // tracked Algorithm 1/2 runs notifies the view, so the sweeps below
-    // read cached answers instead of re-evaluating Q per membership check.
-    let mut view = MaterializedView::new(q.clone(), db);
+    // The answer sets are maintained incrementally: every edit derived by
+    // the tracked Algorithm 1/2 runs notifies every view, so the sweeps
+    // below read cached answers instead of re-evaluating a query per
+    // membership check.
+    let mut views: Vec<MaterializedView> = disjuncts
+        .iter()
+        .map(|q| MaterializedView::new(q.clone(), db))
+        .collect();
 
     loop {
         // resynchronize if the caller's database moved out of band
-        view.sync(db);
-        let unverified: Vec<Tuple> = view
-            .answers()
+        for view in &mut views {
+            view.sync(db);
+        }
+        // answers the crowd could not be reached about are skipped, so the
+        // outer loop still terminates when the crowd dies
+        let unverified: Vec<Tuple> = answers(&views)
             .into_iter()
-            .filter(|t| !verified.contains(t) && !skipped.contains(t))
+            .filter(|t| !verified.contains(t) && !report.unresolved_about(t))
             .collect();
-        if !first && unverified.is_empty() {
+        // the first iteration runs even on an empty view (line 1's FirstIter)
+        if report.iterations > 0 && unverified.is_empty() {
             break;
         }
-        first = false;
         report.iterations += 1;
         if report.iterations > config.max_iterations {
             return Err(CleanError::IterationBudget {
                 budget: config.max_iterations,
             });
         }
-        let iter_span =
-            qoco_telemetry::span("clean.iteration").field("iteration", report.iterations);
+        let iteration = report.iterations;
+        let iter_span = qoco_telemetry::span("clean.iteration").field("iteration", iteration);
 
         // ---- Deletion part (lines 2–6) ----
         let del_span =
             qoco_telemetry::span("clean.deletion_phase").field("unverified", unverified.len());
         let del_before = crowd.stats();
+        let mut upfront = if sweep.batched {
+            verify(&sweep, crowd, disjuncts, &unverified, iteration)
+        } else {
+            Vec::new()
+        }
+        .into_iter();
         for t in unverified {
-            // the answer may already have disappeared through earlier edits
-            if !view.contains(&t) {
-                continue;
-            }
-            let decision = qoco_telemetry::begin_decision();
-            let verdict = crowd.verify_answer(q, &t);
-            qoco_telemetry::finish_decision(decision, "clean.verify_answer", || {
-                qoco_telemetry::DecisionDetail {
-                    question: format!("TRUE({}, {t})?", q.name()),
-                    outcome: match &verdict {
-                        Ok(v) => v.to_string(),
-                        Err(e) => format!("error: {e}"),
-                    },
-                    evidence: vec![
-                        ("phase", "deletion-sweep".to_string()),
-                        ("iteration", report.iterations.to_string()),
-                    ],
-                }
-            });
+            let verdict = match upfront.next() {
+                Some(verdict) => verdict,
+                // the answer may already have disappeared through earlier edits
+                None if !hosted(&views, &t) => continue,
+                None => verify(&sweep, crowd, disjuncts, from_ref(&t), iteration).remove(0),
+            };
             match verdict {
                 Ok(true) => {
                     verified.insert(t);
                 }
-                Ok(false) => {
+                // a batched verdict can concern an answer an earlier
+                // removal of the sweep already took out of the view
+                Ok(false) if hosted(&views, &t) => {
                     qoco_telemetry::event("clean.wrong_answer", || format!("{t}"));
-                    let out = crowd_remove_wrong_answer_tracked(
-                        q,
-                        db,
-                        &t,
-                        crowd,
-                        config.deletion,
-                        std::slice::from_mut(&mut view),
-                    )?;
-                    report.deletion_upper_bound += out.upper_bound;
-                    report.anomalies += out.anomalies;
-                    report.edits.extend(out.edits);
-                    if let Some(e) = out.failure {
-                        qoco_telemetry::event("clean.unresolved", || format!("{t}: {e}"));
-                        report.unresolved.push(UnresolvedItem {
-                            phase: UnresolvedPhase::Delete,
-                            answer: Some(t.clone()),
-                            reason: e.to_string(),
-                        });
-                        skipped.insert(t);
-                    } else {
+                    // a wrong answer must leave every disjunct producing it
+                    let mut failure = None;
+                    for (i, q) in disjuncts.iter().enumerate() {
+                        if !views[i].contains(&t) {
+                            continue;
+                        }
+                        let out = crowd_remove_wrong_answer_tracked(
+                            q,
+                            db,
+                            &t,
+                            crowd,
+                            config.deletion,
+                            &mut views,
+                        )?;
+                        report.deletion_upper_bound += out.upper_bound;
+                        report.anomalies += out.anomalies;
+                        report.edits.extend(out.edits);
+                        failure = out.failure;
+                        if failure.is_some() {
+                            break;
+                        }
+                    }
+                    match failure {
+                        Some(e) => report.give_up(UnresolvedPhase::Delete, Some(t), &e),
                         // counted only when the removal actually completed —
                         // a crowd failure mid-removal leaves the answer in
                         // the view and is reported as unresolved instead
-                        report.wrong_answers += 1;
+                        None => report.wrong_answers += 1,
                     }
                 }
-                Err(e) => {
-                    qoco_telemetry::event("clean.unresolved", || format!("{t}: {e}"));
-                    report.unresolved.push(UnresolvedItem {
-                        phase: UnresolvedPhase::Verify,
-                        answer: Some(t.clone()),
-                        reason: e.to_string(),
-                    });
-                    skipped.insert(t);
-                }
+                Ok(false) => {}
+                Err(e) => report.give_up(UnresolvedPhase::Verify, Some(t), &e),
             }
         }
         report
@@ -176,69 +281,66 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
         // ---- Insertion part (lines 7–9) ----
         let ins_span = qoco_telemetry::span("clean.insertion_phase");
         let ins_before = crowd.stats();
-        loop {
-            let known = view.answers();
+        'insertion: loop {
+            let known = answers(&views);
             if estimator.likely_complete(known.len()) {
                 break;
             }
-            let decision = qoco_telemetry::begin_decision();
-            let reply = crowd.next_missing_answer(q, &known);
-            qoco_telemetry::finish_decision(decision, "clean.complete_result", || {
-                qoco_telemetry::DecisionDetail {
-                    question: format!("COMPL({}(D))?", q.name()),
-                    outcome: match &reply {
-                        Ok(Some(t)) => format!("missing: {t}"),
-                        Ok(None) => "complete".to_string(),
-                        Err(e) => format!("error: {e}"),
-                    },
-                    evidence: vec![
-                        ("phase", "insertion-sweep".to_string()),
-                        ("iteration", report.iterations.to_string()),
-                        ("known_answers", known.len().to_string()),
-                    ],
-                }
-            });
-            let t = match reply {
-                Ok(Some(t)) => t,
-                Ok(None) => break,
-                Err(e) => {
-                    qoco_telemetry::event("clean.unresolved", || format!("{e}"));
-                    report.unresolved.push(UnresolvedItem {
-                        phase: UnresolvedPhase::Insert,
-                        answer: None,
-                        reason: e.to_string(),
-                    });
-                    break;
-                }
-            };
-            estimator.observe(&t);
-            qoco_telemetry::event("clean.missing_answer", || format!("{t}"));
-            let out = crowd_add_missing_answer_tracked(
-                q,
-                db,
-                &t,
-                crowd,
-                &mut *split,
-                config.insertion,
-                std::slice::from_mut(&mut view),
-            )?;
-            report.insertion_upper_bound += out.upper_bound;
-            report.edits.extend(out.edits);
-            if let Some(e) = out.failure {
-                qoco_telemetry::event("clean.unresolved", || format!("{t}: {e}"));
-                report.unresolved.push(UnresolvedItem {
-                    phase: UnresolvedPhase::Insert,
-                    answer: Some(t.clone()),
-                    reason: e.to_string(),
-                });
-                skipped.insert(t);
+            let (batch, failure) = missing(&sweep, crowd, disjuncts, &known, iteration);
+            if batch.is_empty() && failure.is_none() {
                 break;
             }
-            report.missing_answers += 1;
-            if out.achieved {
-                verified.insert(t);
-            } else {
-                report.anomalies += 1;
+            for t in batch {
+                // an earlier insertion of the same batch may have added it
+                if sweep.batched && hosted(&views, &t) {
+                    verified.insert(t);
+                    continue;
+                }
+                estimator.observe(&t);
+                qoco_telemetry::event("clean.missing_answer", || format!("{t}"));
+                // a missing answer needs one disjunct to produce it
+                let mut achieved = false;
+                for (i, q) in disjuncts.iter().enumerate() {
+                    if disjuncts.len() > 1 {
+                        match can_host(crowd, q, &t, i, disjuncts.len(), iteration) {
+                            Ok(true) => {}
+                            Ok(false) => continue,
+                            Err(e) => {
+                                report.give_up(UnresolvedPhase::Insert, Some(t), &e);
+                                break 'insertion;
+                            }
+                        }
+                    }
+                    let out = crowd_add_missing_answer_tracked(
+                        q,
+                        db,
+                        &t,
+                        crowd,
+                        &mut *split,
+                        config.insertion,
+                        &mut views,
+                    )?;
+                    report.insertion_upper_bound += out.upper_bound;
+                    report.edits.extend(out.edits);
+                    if let Some(e) = out.failure {
+                        report.give_up(UnresolvedPhase::Insert, Some(t), &e);
+                        break 'insertion;
+                    }
+                    if out.achieved {
+                        achieved = true;
+                        break;
+                    }
+                }
+                report.missing_answers += 1;
+                if achieved {
+                    verified.insert(t);
+                } else {
+                    report.anomalies += 1;
+                }
+            }
+            if let Some(e) = failure {
+                report.give_up(UnresolvedPhase::Insert, None, &e);
+                break;
             }
         }
         report
@@ -257,19 +359,146 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
     Ok(report)
 }
 
-/// [`clean_view_with_estimator`] with a permissive estimator: the crowd's
-/// `COMPL(Q(D))` replies alone decide completeness — the setting of the
-/// paper's simulated-oracle experiments.
-pub fn clean_view<C: CrowdAccess + ?Sized>(
-    q: &ConjunctiveQuery,
-    db: &mut Database,
+/// The views' cached answers, sorted and distinct: the union's answer set.
+fn answers(views: &[MaterializedView]) -> Vec<Tuple> {
+    match views {
+        [view] => view.answers(),
+        _ => views
+            .iter()
+            .flat_map(MaterializedView::answers)
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect(),
+    }
+}
+
+/// Does some disjunct currently produce `t`?
+fn hosted(views: &[MaterializedView], t: &Tuple) -> bool {
+    views.iter().any(|v| v.contains(t))
+}
+
+/// Decision evidence shared by the loop's questions.
+fn evidence(phase: &str, iteration: usize, i: usize, k: usize) -> Vec<(&'static str, String)> {
+    let mut evidence = vec![
+        ("phase", phase.to_string()),
+        ("iteration", iteration.to_string()),
+    ];
+    if k > 1 {
+        evidence.push(("disjunct", format!("{}/{k}", i + 1)));
+    }
+    evidence
+}
+
+fn outcome(reply: &Result<bool, CrowdError>) -> String {
+    match reply {
+        Ok(v) => v.to_string(),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
+/// `TRUE(U, t)?` for every answer. A union answer is true iff some
+/// disjunct certifies it, so a later disjunct is asked only about the
+/// answers every earlier one rejected; a crowd failure ends an answer's
+/// questions.
+fn verify<C: CrowdAccess + ?Sized>(
+    sweep: &Sweep<C>,
     crowd: &mut C,
-    config: CleaningConfig,
-) -> Result<CleaningReport, CleanError> {
-    // usize::MAX distinct answers will never be reached: defer fully to the
-    // crowd's completeness judgement.
-    let mut estimator = GroundTruthEstimator::new(usize::MAX);
-    clean_view_with_estimator(q, db, crowd, config, &mut estimator)
+    disjuncts: &[ConjunctiveQuery],
+    answers: &[Tuple],
+    iteration: usize,
+) -> Verdicts {
+    let mut verdicts: Verdicts = answers.iter().map(|_| Ok(false)).collect();
+    for (i, q) in disjuncts.iter().enumerate() {
+        let open: Vec<usize> = (0..answers.len())
+            .filter(|&j| matches!(verdicts[j], Ok(false)))
+            .collect();
+        if open.is_empty() {
+            break;
+        }
+        let asked: Vec<Tuple> = open.iter().map(|&j| answers[j].clone()).collect();
+        let decision = qoco_telemetry::begin_decision();
+        let replies = (sweep.verify)(crowd, q, &asked);
+        for (n, (&j, verdict)) in open.iter().zip(replies).enumerate() {
+            // one decision per verdict; a batch's crowd calls ran on worker
+            // threads, so only the first verdict's decision tags any of them
+            let id = if n == 0 {
+                decision
+            } else {
+                qoco_telemetry::begin_decision()
+            };
+            qoco_telemetry::finish_decision(id, "clean.verify_answer", || DecisionDetail {
+                question: format!("TRUE({}, {})?", q.name(), answers[j]),
+                outcome: outcome(&verdict),
+                evidence: evidence("deletion-sweep", iteration, i, disjuncts.len()),
+            });
+            verdicts[j] = verdict;
+        }
+    }
+    verdicts
+}
+
+/// `COMPL(U(D))`: each disjunct in turn, until one reports missing answers
+/// or the crowd fails.
+fn missing<C: CrowdAccess + ?Sized>(
+    sweep: &Sweep<C>,
+    crowd: &mut C,
+    disjuncts: &[ConjunctiveQuery],
+    known: &[Tuple],
+    iteration: usize,
+) -> Missing {
+    for (i, q) in disjuncts.iter().enumerate() {
+        let decision = qoco_telemetry::begin_decision();
+        let (batch, failure) = (sweep.missing)(crowd, q, known);
+        qoco_telemetry::finish_decision(decision, "clean.complete_result", || {
+            let mut evidence = evidence("insertion-sweep", iteration, i, disjuncts.len());
+            evidence.push(("known_answers", known.len().to_string()));
+            let outcome = match (&failure, batch.as_slice()) {
+                (Some(e), []) => format!("error: {e}"),
+                (None, []) => "complete".to_string(),
+                _ => {
+                    let rendered: Vec<String> = batch.iter().map(Tuple::to_string).collect();
+                    format!("missing: {}", rendered.join(", "))
+                }
+            };
+            DecisionDetail {
+                question: format!("COMPL({}(D))?", q.name()),
+                outcome,
+                evidence,
+            }
+        });
+        if !batch.is_empty() || failure.is_some() {
+            return (batch, failure);
+        }
+    }
+    (Vec::new(), None)
+}
+
+/// `SAT(∅, Qᵢ|t)?`: can disjunct `i` of `k` host a witness for the missing
+/// answer `t`? Insertion runs on the first disjunct that can. A disjunct
+/// `t` cannot be embedded into is passed over without a question.
+fn can_host<C: CrowdAccess + ?Sized>(
+    crowd: &mut C,
+    q: &ConjunctiveQuery,
+    t: &Tuple,
+    i: usize,
+    k: usize,
+    iteration: usize,
+) -> Result<bool, CrowdError> {
+    let Ok(q_t) = embed_answer(q, t.values()) else {
+        return Ok(false);
+    };
+    let decision = qoco_telemetry::begin_decision();
+    let hostable = crowd.verify_satisfiable(&q_t, &Assignment::new());
+    qoco_telemetry::finish_decision(decision, "clean.pick_host_disjunct", || {
+        let mut evidence = evidence("insertion-sweep", iteration, i, k);
+        evidence.push(("missing_answer", t.to_string()));
+        DecisionDetail {
+            question: format!("SAT(∅, {})?", q_t.name()),
+            outcome: outcome(&hostable),
+            evidence,
+        }
+    });
+    hostable
 }
 
 #[cfg(test)]

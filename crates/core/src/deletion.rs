@@ -22,7 +22,6 @@ use qoco_telemetry::DecisionDetail;
 use crate::error::CleanError;
 use crate::heuristics::{MostFrequentSelector, RandomSelector, TupleSelector};
 use crate::hitting_set::HittingSetInstance;
-use crate::tracked::apply_tracked;
 
 /// Which deletion algorithm to run (Section 7.2's competitors).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,7 +104,7 @@ pub fn crowd_remove_wrong_answer_tracked<C: CrowdAccess + ?Sized>(
         DeletionStrategy::Random(seed) => Box::new(RandomSelector::new(seed)),
     };
     let use_singleton_shortcut = matches!(strategy, DeletionStrategy::Qoco);
-    crowd_remove_wrong_answer_with_tracked(
+    crowd_remove_wrong_answer_with(
         q,
         db,
         t,
@@ -116,31 +115,11 @@ pub fn crowd_remove_wrong_answer_tracked<C: CrowdAccess + ?Sized>(
     )
 }
 
-/// [`crowd_remove_wrong_answer`] with an explicit selection heuristic —
-/// the hook the heuristics ablation uses (the paper notes the greedy
-/// most-frequent choice "could be replaced by others", Section 4).
+/// [`crowd_remove_wrong_answer_tracked`] with an explicit selection
+/// heuristic — the hook the heuristics ablation uses (the paper notes the
+/// greedy most-frequent choice "could be replaced by others", Section 4).
+/// Pass `&mut []` when no view needs maintaining.
 pub fn crowd_remove_wrong_answer_with<C: CrowdAccess + ?Sized>(
-    q: &ConjunctiveQuery,
-    db: &mut Database,
-    t: &Tuple,
-    crowd: &mut C,
-    selector: &mut dyn TupleSelector,
-    use_singleton_shortcut: bool,
-) -> Result<DeletionOutcome, CleanError> {
-    crowd_remove_wrong_answer_with_tracked(
-        q,
-        db,
-        t,
-        crowd,
-        selector,
-        use_singleton_shortcut,
-        &mut [],
-    )
-}
-
-/// [`crowd_remove_wrong_answer_with`], additionally maintaining `views`
-/// per derived edit (see [`crowd_remove_wrong_answer_tracked`]).
-pub fn crowd_remove_wrong_answer_with_tracked<C: CrowdAccess + ?Sized>(
     q: &ConjunctiveQuery,
     db: &mut Database,
     t: &Tuple,
@@ -232,7 +211,7 @@ pub fn crowd_remove_wrong_answer_with_tracked<C: CrowdAccess + ?Sized>(
                 for f in singles {
                     instance.confirm_false(&f);
                     let e = Edit::delete(f);
-                    apply_tracked(db, views, &e)?;
+                    MaterializedView::apply_to_all(db, views, &e)?;
                     edits.push(e);
                 }
             }
@@ -277,7 +256,7 @@ pub fn crowd_remove_wrong_answer_with_tracked<C: CrowdAccess + ?Sized>(
             Ok(false) => {
                 instance.confirm_false(&fact);
                 let e = Edit::delete(fact);
-                apply_tracked(db, views, &e)?;
+                MaterializedView::apply_to_all(db, views, &e)?;
                 edits.push(e);
             }
             Err(e) => {

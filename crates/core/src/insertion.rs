@@ -23,7 +23,6 @@ use qoco_telemetry::DecisionDetail;
 
 use crate::error::CleanError;
 use crate::split::SplitStrategy;
-use crate::tracked::apply_tracked;
 
 /// Options for the insertion algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -105,7 +104,7 @@ pub fn crowd_add_missing_answer_tracked<C: CrowdAccess + ?Sized>(
             let fact = Assignment::new().ground_atom(atom).expect("ground atom");
             if !db.contains(&fact) {
                 let e = Edit::insert(fact);
-                apply_tracked(db, views, &e)?;
+                MaterializedView::apply_to_all(db, views, &e)?;
                 edits.push(e);
             }
         }
@@ -286,7 +285,7 @@ fn apply_witness_insertions(
         };
         if !db.contains(&fact) {
             let e = Edit::insert(fact.clone());
-            apply_tracked(db, views, &e)?;
+            MaterializedView::apply_to_all(db, views, &e)?;
             edits.push(e);
             fresh.push(fact);
         }

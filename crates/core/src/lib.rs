@@ -15,9 +15,10 @@
 //!   (WhyNot?-style), Min-Cut (Stoer–Wagner on the query graph), Random,
 //!   and Naïve (no split);
 //! * [`insertion`] — Algorithm 2 `CrowdAddMissingAnswer`;
-//! * [`cleaner`] — Algorithm 3, the iterative mixed cleaner;
-//! * [`multi`] — the multiple-imperfect-experts, parallel variant
-//!   (Section 6.2);
+//! * [`cleaner`] — Algorithm 3, the iterative mixed cleaner: one loop for
+//!   single CQs, unions ([`ucq_clean`]) and Section 6.2's parallel batches;
+//! * [`multi`] — the thread-safe panel of imperfect experts behind the
+//!   parallel variant (Section 6.2);
 //! * [`naive`] — the systematic-enumeration strategy of Proposition 3.4,
 //!   kept as an illustrative (exponential) baseline;
 //! * [`report`] — session reports: edits, per-phase question ledgers,
@@ -41,17 +42,18 @@ pub mod naive;
 pub mod report;
 pub mod split;
 pub mod store;
-mod tracked;
 pub mod ucq_clean;
 
-pub use cleaner::{clean_view, clean_view_with_estimator, CleaningConfig, CleaningReport};
+pub use cleaner::{
+    clean_view, clean_view_parallel, clean_view_with_estimator, CleaningConfig, CleaningReport,
+};
 pub use composite::{crowd_remove_wrong_answer_composite, find_false_facts};
 pub use constrained::{
     apply_all_with_constraints, apply_edit_with_constraints, ConstrainedOutcome,
 };
 pub use deletion::{
     crowd_remove_wrong_answer, crowd_remove_wrong_answer_tracked, crowd_remove_wrong_answer_with,
-    crowd_remove_wrong_answer_with_tracked, DeletionOutcome, DeletionStrategy,
+    DeletionOutcome, DeletionStrategy,
 };
 pub use error::CleanError;
 pub use figure1::{figure1_ground, figure1_spec};
@@ -65,7 +67,7 @@ pub use insertion::{
 pub use machine::{
     FinishedSession, SessionMachine, SessionSpec, SessionState, SubmitError, SubmitOutcome,
 };
-pub use multi::{clean_view_parallel, ParallelMajorityCrowd};
+pub use multi::ParallelMajorityCrowd;
 pub use naive::{naive_enumeration, TargetAction};
 pub use report::{UnresolvedItem, UnresolvedPhase};
 pub use split::{

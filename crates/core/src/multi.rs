@@ -9,27 +9,21 @@
 //! * **parallelism** — "we verify the correctness of all tuples in `Q(D)`
 //!   at the same time": [`ParallelMajorityCrowd`] fans a batch of
 //!   verification questions out over worker threads (crossbeam scoped
-//!   threads, one lock per expert), and [`clean_view_parallel`] is the
-//!   Algorithm 3 variant that uses the batch API for the deletion-phase
-//!   verification sweep while edits stay sequential (edits mutate `D`, and
-//!   Proposition 3.3's monotonicity argument is per-edit).
+//!   threads, one lock per expert), and
+//!   [`clean_view_parallel`](crate::cleaner::clean_view_parallel) runs the
+//!   Algorithm 3 loop with those batches as its verification sweep.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use qoco_crowd::{
-    Answer, CrowdAccess, CrowdError, CrowdStats, Oracle, OracleError, Question, RetryPolicy,
+    ask_with_retry, Answer, CrowdAccess, CrowdError, CrowdStats, Oracle, OracleError, Question,
+    RetryPolicy,
 };
-use qoco_data::{Database, Fact, Tuple};
-use qoco_engine::{answer_set, Assignment};
+use qoco_data::{Fact, Tuple};
+use qoco_engine::Assignment;
 use qoco_query::ConjunctiveQuery;
-
-use crate::cleaner::{CleaningConfig, CleaningReport};
-use crate::deletion::crowd_remove_wrong_answer;
-use crate::error::CleanError;
-use crate::insertion::crowd_add_missing_answer;
-use crate::report::{UnresolvedItem, UnresolvedPhase};
 
 /// A panel of experts usable from multiple threads: each expert sits behind
 /// its own lock, so distinct questions proceed concurrently on distinct
@@ -83,93 +77,38 @@ impl<O: Oracle + Send> ParallelMajorityCrowd<O> {
             .count()
     }
 
-    /// The interaction ledger so far.
-    pub fn current_stats(&self) -> CrowdStats {
-        *self.stats.lock()
-    }
-
-    fn alive_indices(&self) -> Vec<usize> {
-        (0..self.experts.len())
+    /// The alive experts, or the error a question gets when they are fewer
+    /// than the policy's quorum.
+    fn quorum(&self, q: &Question) -> Result<Vec<usize>, CrowdError> {
+        let alive: Vec<usize> = (0..self.experts.len())
             .filter(|&i| !self.dead[i].load(Ordering::SeqCst))
-            .collect()
-    }
-
-    fn quorum_err(&self, q: &Question) -> CrowdError {
-        CrowdError {
-            question: format!("{q:?}"),
-            attempts: 0,
-            last: OracleError::Dropped,
+            .collect();
+        if alive.is_empty() || alive.len() < self.policy.min_quorum {
+            return Err(CrowdError::new(q, 0, OracleError::Dropped));
         }
+        Ok(alive)
     }
 
-    /// Ask one expert one question under the retry policy — the
-    /// thread-safe sibling of the sequential session's `ask_with_retry`
-    /// (same fault/retry/backoff accounting, stats behind the shared lock).
+    /// Ask one expert one question under the retry policy: the sequential
+    /// session's retry loop, run under this expert's lock, with its fault
+    /// and retry accounting merged into the shared ledger.
     fn ask_one(&self, idx: usize, q: &Question) -> Result<Answer, OracleError> {
-        if self.dead[idx].load(Ordering::SeqCst) {
-            return Err(OracleError::Dropped);
+        let mut dead = self.dead[idx].load(Ordering::SeqCst);
+        let mut stats = CrowdStats::new();
+        let mut expert = self.experts[idx].lock();
+        let reply = ask_with_retry(&mut *expert, q, &self.policy, &mut dead, &mut stats);
+        drop(expert);
+        if dead {
+            self.dead[idx].store(true, Ordering::SeqCst);
         }
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            let reply = self.experts[idx].lock().answer(q);
-            match reply {
-                Ok(a) => return Ok(a),
-                Err(e) => {
-                    self.stats.lock().faults += 1;
-                    qoco_telemetry::counter_add("crowd.faults", 1);
-                    qoco_telemetry::event("crowd.fault", || format!("{} on {q:?}", e.as_str()));
-                    match e {
-                        OracleError::Timeout if attempts <= self.policy.max_retries => {
-                            let backoff = self
-                                .policy
-                                .backoff_base_ms
-                                .saturating_mul(1usize << (attempts - 1).min(16));
-                            let mut s = self.stats.lock();
-                            s.simulated_backoff_ms = s.simulated_backoff_ms.saturating_add(backoff);
-                            s.retries += 1;
-                            drop(s);
-                            qoco_telemetry::counter_add("crowd.retries", 1);
-                            qoco_telemetry::record_decision("crowd.retry", || {
-                                qoco_telemetry::DecisionDetail {
-                                    question: format!("{q:?}"),
-                                    outcome: format!(
-                                        "retry {attempts}/{} after {backoff}ms backoff",
-                                        self.policy.max_retries
-                                    ),
-                                    evidence: vec![
-                                        ("fault", e.as_str().to_string()),
-                                        ("expert", idx.to_string()),
-                                        (
-                                            "policy",
-                                            format!(
-                                                "max_retries={} backoff_base_ms={}",
-                                                self.policy.max_retries,
-                                                self.policy.backoff_base_ms
-                                            ),
-                                        ),
-                                    ],
-                                }
-                            });
-                        }
-                        OracleError::Dropped => {
-                            self.dead[idx].store(true, Ordering::SeqCst);
-                            return Err(e);
-                        }
-                        _ => return Err(e),
-                    }
-                }
-            }
-        }
+        self.stats.lock().absorb(&stats);
+        reply.map_err(|e| e.last)
     }
 
     /// Majority-vote one closed question over the alive panel (early stop
     /// at a strict majority; failing experts escalate to the rest).
     fn majority_bool(&self, q: &Question) -> Result<bool, CrowdError> {
-        let alive = self.alive_indices();
-        if alive.is_empty() || alive.len() < self.policy.min_quorum {
-            return Err(self.quorum_err(q));
-        }
+        let alive = self.quorum(q)?;
         let need = alive.len() / 2 + 1;
         let mut yes = 0usize;
         let mut no = 0usize;
@@ -180,16 +119,7 @@ impl<O: Oracle + Send> ParallelMajorityCrowd<O> {
                 Ok(a) => {
                     let b = a.expect_bool();
                     answered += 1;
-                    {
-                        let mut s = self.stats.lock();
-                        s.closed_answers += 1;
-                        match q {
-                            Question::VerifyAnswer { .. } => s.verify_answer_crowd_answers += 1,
-                            Question::VerifyFact(_) => s.verify_fact_crowd_answers += 1,
-                            Question::VerifySatisfiable { .. } => s.satisfiable_crowd_answers += 1,
-                            _ => {}
-                        }
-                    }
+                    self.stats.lock().count_closed_answer(q);
                     if b {
                         yes += 1;
                     } else {
@@ -223,11 +153,7 @@ impl<O: Oracle + Send> ParallelMajorityCrowd<O> {
             }
         }
         if answered == 0 {
-            return Err(CrowdError {
-                question: format!("{q:?}"),
-                attempts: 0,
-                last,
-            });
+            return Err(CrowdError::new(q, 0, last));
         }
         // Same verdict rule as the sequential MajorityCrowd: majority of
         // the answers actually delivered, ties → NO.
@@ -316,30 +242,10 @@ impl<O: Oracle + Send> CrowdAccess for ParallelMajorityCrowd<O> {
             query: q.clone(),
             partial: partial.clone(),
         };
-        let alive = self.alive_indices();
-        if alive.is_empty() || alive.len() < self.policy.min_quorum {
-            return Err(self.quorum_err(&question));
-        }
-        let n = alive.len();
-        let start = self.rotation.fetch_add(1, Ordering::Relaxed);
-        let mut any_reply = false;
-        let mut last = OracleError::Dropped;
-        for i in 0..n {
-            let idx = alive[(start + i) % n];
-            self.stats.lock().complete_tasks += 1;
-            let reply = match self.ask_one(idx, &question) {
-                Ok(a) => {
-                    any_reply = true;
-                    a.expect_completion()
-                }
-                Err(e) => {
-                    last = e;
-                    self.stats.lock().escalations += 1;
-                    qoco_telemetry::counter_add("crowd.escalations", 1);
-                    continue;
-                }
+        self.open_question(&question, |answer| {
+            let Some(total) = answer.expect_completion() else {
+                return Ok(None);
             };
-            let Some(total) = reply else { continue };
             let filled = total.len().saturating_sub(partial.len());
             {
                 let mut s = self.stats.lock();
@@ -347,34 +253,21 @@ impl<O: Oracle + Send> CrowdAccess for ParallelMajorityCrowd<O> {
                 s.open_answer_variables += filled;
             }
             // re-verify the provided witness facts with closed questions
-            let mut ok = true;
             for atom in q.atoms() {
                 let Some(fact) = total.ground_atom(atom) else {
-                    ok = false;
-                    break;
+                    return Ok(None);
                 };
                 self.stats.lock().verify_fact_questions += 1;
                 if !self.majority_bool(&Question::VerifyFact(fact))? {
-                    ok = false;
-                    break;
+                    return Ok(None);
                 }
             }
-            if ok
-                && q.inequalities()
-                    .iter()
-                    .all(|e| total.check_inequality(e) == Some(true))
-            {
-                return Ok(Some(total));
-            }
-        }
-        if !any_reply {
-            return Err(CrowdError {
-                question: format!("{question:?}"),
-                attempts: n,
-                last,
-            });
-        }
-        Ok(None)
+            let consistent = q
+                .inequalities()
+                .iter()
+                .all(|e| total.check_inequality(e) == Some(true));
+            Ok(consistent.then_some(total))
+        })
     }
 
     fn next_missing_answer(
@@ -386,51 +279,10 @@ impl<O: Oracle + Send> CrowdAccess for ParallelMajorityCrowd<O> {
             query: q.clone(),
             known: known.to_vec(),
         };
-        let alive = self.alive_indices();
-        if alive.is_empty() || alive.len() < self.policy.min_quorum {
-            return Err(self.quorum_err(&question));
-        }
-        let n = alive.len();
-        let start = self.rotation.fetch_add(1, Ordering::Relaxed);
-        let mut any_reply = false;
-        let mut last = OracleError::Dropped;
-        for i in 0..n {
-            let idx = alive[(start + i) % n];
-            self.stats.lock().complete_result_tasks += 1;
-            let reply = match self.ask_one(idx, &question) {
-                Ok(a) => {
-                    any_reply = true;
-                    a.expect_missing()
-                }
-                Err(e) => {
-                    last = e;
-                    self.stats.lock().escalations += 1;
-                    qoco_telemetry::counter_add("crowd.escalations", 1);
-                    continue;
-                }
-            };
-            let Some(t) = reply else { continue };
-            {
-                let mut s = self.stats.lock();
-                s.open_answer_variables += q.head().len();
-                s.verify_answer_questions += 1;
-            }
-            if self.majority_bool(&Question::VerifyAnswer {
-                query: q.clone(),
-                answer: t.clone(),
-            })? {
-                self.stats.lock().missing_answers_provided += 1;
-                return Ok(Some(t));
-            }
-        }
-        if !any_reply {
-            return Err(CrowdError {
-                question: format!("{question:?}"),
-                attempts: n,
-                last,
-            });
-        }
-        Ok(None)
+        self.open_question(&question, |answer| match answer.expect_missing() {
+            Some(t) => Ok(self.confirm_missing(q, &t)?.then_some(t)),
+            None => Ok(None),
+        })
     }
 
     fn stats(&self) -> CrowdStats {
@@ -439,6 +291,69 @@ impl<O: Oracle + Send> CrowdAccess for ParallelMajorityCrowd<O> {
 }
 
 impl<O: Oracle + Send> ParallelMajorityCrowd<O> {
+    /// Put an open question to one alive expert after another, in rotation,
+    /// until `accept` takes a reply. A failing expert escalates to the next;
+    /// a crowd where nobody replied is an error.
+    fn open_question<T>(
+        &self,
+        question: &Question,
+        mut accept: impl FnMut(Answer) -> Result<Option<T>, CrowdError>,
+    ) -> Result<Option<T>, CrowdError> {
+        let alive = self.quorum(question)?;
+        let n = alive.len();
+        let start = self.rotation.fetch_add(1, Ordering::Relaxed);
+        let mut any_reply = false;
+        let mut last = OracleError::Dropped;
+        for i in 0..n {
+            let idx = alive[(start + i) % n];
+            self.count_open_task(question, 1);
+            match self.ask_one(idx, question) {
+                Ok(answer) => {
+                    any_reply = true;
+                    if let Some(accepted) = accept(answer)? {
+                        return Ok(Some(accepted));
+                    }
+                }
+                Err(e) => {
+                    last = e;
+                    self.stats.lock().escalations += 1;
+                    qoco_telemetry::counter_add("crowd.escalations", 1);
+                }
+            }
+        }
+        if !any_reply {
+            return Err(CrowdError::new(question, n, last));
+        }
+        Ok(None)
+    }
+
+    /// Count `n` tasks of an open question's kind in the ledger.
+    fn count_open_task(&self, question: &Question, n: usize) {
+        let mut s = self.stats.lock();
+        match question {
+            Question::Complete { .. } => s.complete_tasks += n,
+            _ => s.complete_result_tasks += n,
+        }
+    }
+
+    /// Majority-verify a missing answer an expert reported: open answers
+    /// are re-verified with closed questions.
+    fn confirm_missing(&self, q: &ConjunctiveQuery, t: &Tuple) -> Result<bool, CrowdError> {
+        {
+            let mut s = self.stats.lock();
+            s.open_answer_variables += q.head().len();
+            s.verify_answer_questions += 1;
+        }
+        let confirmed = self.majority_bool(&Question::VerifyAnswer {
+            query: q.clone(),
+            answer: t.clone(),
+        })?;
+        if confirmed {
+            self.stats.lock().missing_answers_provided += 1;
+        }
+        Ok(confirmed)
+    }
+
     /// Post `COMPL(Q(D))` to every alive expert concurrently ("post
     /// together multiple completion questions", Section 6.2), deduplicate
     /// the replies and majority-verify each candidate. Returns the
@@ -454,10 +369,10 @@ impl<O: Oracle + Send> ParallelMajorityCrowd<O> {
             query: q.clone(),
             known: known.to_vec(),
         };
-        let alive = self.alive_indices();
-        if alive.is_empty() || alive.len() < self.policy.min_quorum {
-            return (Vec::new(), Some(self.quorum_err(&question)));
-        }
+        let alive = match self.quorum(&question) {
+            Ok(alive) => alive,
+            Err(e) => return (Vec::new(), Some(e)),
+        };
         let replies: Vec<Mutex<Result<Option<Tuple>, OracleError>>> = alive
             .iter()
             .map(|_| Mutex::new(Err(OracleError::Dropped)))
@@ -471,10 +386,7 @@ impl<O: Oracle + Send> ParallelMajorityCrowd<O> {
             }
         })
         .expect("completion workers do not panic");
-        {
-            let mut s = self.stats.lock();
-            s.complete_result_tasks += alive.len();
-        }
+        self.count_open_task(&question, alive.len());
         let outcomes: Vec<Result<Option<Tuple>, OracleError>> =
             replies.into_iter().map(|m| m.into_inner()).collect();
         if outcomes.iter().all(|r| r.is_err()) {
@@ -485,11 +397,7 @@ impl<O: Oracle + Send> ParallelMajorityCrowd<O> {
                 .unwrap_or(OracleError::Dropped);
             return (
                 Vec::new(),
-                Some(CrowdError {
-                    question: format!("{question:?}"),
-                    attempts: alive.len(),
-                    last,
-                }),
+                Some(CrowdError::new(&question, alive.len(), last)),
             );
         }
         let mut candidates: Vec<Tuple> = outcomes
@@ -500,19 +408,8 @@ impl<O: Oracle + Send> ParallelMajorityCrowd<O> {
         candidates.dedup();
         let mut verified = Vec::new();
         for t in candidates {
-            {
-                let mut s = self.stats.lock();
-                s.open_answer_variables += q.head().len();
-                s.verify_answer_questions += 1;
-            }
-            match self.majority_bool(&Question::VerifyAnswer {
-                query: q.clone(),
-                answer: t.clone(),
-            }) {
-                Ok(true) => {
-                    self.stats.lock().missing_answers_provided += 1;
-                    verified.push(t);
-                }
+            match self.confirm_missing(q, &t) {
+                Ok(true) => verified.push(t),
                 Ok(false) => {}
                 Err(e) => return (verified, Some(e)),
             }
@@ -521,138 +418,14 @@ impl<O: Oracle + Send> ParallelMajorityCrowd<O> {
     }
 }
 
-/// Algorithm 3 with the Section 6.2 parallel verification sweep: all
-/// unverified answers of `Q(D)` are verified concurrently, then the wrong
-/// ones are removed and the missing ones added sequentially.
-pub fn clean_view_parallel<O: Oracle + Send>(
-    q: &ConjunctiveQuery,
-    db: &mut Database,
-    crowd: &mut ParallelMajorityCrowd<O>,
-    config: CleaningConfig,
-) -> Result<CleaningReport, CleanError> {
-    let mut report = CleaningReport::new();
-    let mut verified: std::collections::BTreeSet<Tuple> = Default::default();
-    let mut skipped: std::collections::BTreeSet<Tuple> = Default::default();
-    let mut split = config.split.build();
-    let mut first = true;
-
-    loop {
-        let unverified: Vec<Tuple> = answer_set(q, db)
-            .into_iter()
-            .filter(|t| !verified.contains(t) && !skipped.contains(t))
-            .collect();
-        if !first && unverified.is_empty() {
-            break;
-        }
-        first = false;
-        report.iterations += 1;
-        if report.iterations > config.max_iterations {
-            return Err(CleanError::IterationBudget {
-                budget: config.max_iterations,
-            });
-        }
-
-        // ---- parallel verification sweep + sequential deletions ----
-        let del_before = crowd.stats();
-        let verdicts = crowd.verify_answers_parallel(q, &unverified);
-        for (t, verdict) in unverified.into_iter().zip(verdicts) {
-            match verdict {
-                Ok(true) => {
-                    verified.insert(t);
-                }
-                Ok(false) => {
-                    if answer_set(q, db).contains(&t) {
-                        let out = crowd_remove_wrong_answer(q, db, &t, crowd, config.deletion)?;
-                        report.deletion_upper_bound += out.upper_bound;
-                        report.anomalies += out.anomalies;
-                        report.edits.extend(out.edits);
-                        if let Some(e) = out.failure {
-                            report.unresolved.push(UnresolvedItem {
-                                phase: UnresolvedPhase::Delete,
-                                answer: Some(t.clone()),
-                                reason: e.to_string(),
-                            });
-                            skipped.insert(t);
-                        } else {
-                            // counted only when the removal completed — a
-                            // crowd failure mid-removal is unresolved, not
-                            // a removed answer
-                            report.wrong_answers += 1;
-                        }
-                    }
-                }
-                Err(e) => {
-                    report.unresolved.push(UnresolvedItem {
-                        phase: UnresolvedPhase::Verify,
-                        answer: Some(t.clone()),
-                        reason: e.to_string(),
-                    });
-                    skipped.insert(t);
-                }
-            }
-        }
-        report
-            .deletion_stats
-            .absorb(&crowd.stats().since(&del_before));
-
-        // ---- insertion phase: batch-post completion questions ----
-        let ins_before = crowd.stats();
-        'insertion: loop {
-            let known = answer_set(q, db);
-            let (batch, batch_failure) = crowd.missing_answers_parallel(q, &known);
-            if batch.is_empty() && batch_failure.is_none() {
-                break;
-            }
-            for t in batch {
-                // an earlier insertion of this round may have added it
-                if answer_set(q, db).contains(&t) {
-                    verified.insert(t);
-                    continue;
-                }
-                let out =
-                    crowd_add_missing_answer(q, db, &t, crowd, &mut *split, config.insertion)?;
-                report.insertion_upper_bound += out.upper_bound;
-                report.edits.extend(out.edits);
-                if let Some(e) = out.failure {
-                    report.unresolved.push(UnresolvedItem {
-                        phase: UnresolvedPhase::Insert,
-                        answer: Some(t.clone()),
-                        reason: e.to_string(),
-                    });
-                    skipped.insert(t);
-                    break 'insertion;
-                }
-                report.missing_answers += 1;
-                if out.achieved {
-                    verified.insert(t);
-                } else {
-                    report.anomalies += 1;
-                }
-            }
-            if let Some(e) = batch_failure {
-                report.unresolved.push(UnresolvedItem {
-                    phase: UnresolvedPhase::Insert,
-                    answer: None,
-                    reason: e.to_string(),
-                });
-                break;
-            }
-        }
-        report
-            .insertion_stats
-            .absorb(&crowd.stats().since(&ins_before));
-    }
-
-    report.total_stats = report.deletion_stats;
-    report.total_stats.absorb(&report.insertion_stats);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cleaner::{clean_view_parallel, CleaningConfig};
+    use crate::report::UnresolvedPhase;
     use qoco_crowd::{FaultPlan, FaultyOracle, ImperfectOracle, PerfectOracle};
-    use qoco_data::{tup, Schema};
+    use qoco_data::{tup, Database, Schema};
+    use qoco_engine::answer_set;
     use qoco_query::parse_query;
     use std::sync::Arc;
 
@@ -725,7 +498,7 @@ mod tests {
             assert_eq!(*v.as_ref().unwrap(), truth.contains(t), "verdict for {t}");
         }
         // early stop: 2 answers per question with unanimous experts
-        assert_eq!(crowd.current_stats().closed_answers, 2 * answers.len());
+        assert_eq!(crowd.stats().closed_answers, 2 * answers.len());
     }
 
     #[test]
@@ -795,7 +568,7 @@ mod tests {
         assert!(failure.is_none());
         // ITA is missing from the view; all experts report it, deduped
         assert_eq!(batch, vec![tup!["ITA"]]);
-        let st = crowd.current_stats();
+        let st = crowd.stats();
         assert_eq!(st.complete_result_tasks, 3, "one task per expert");
         assert_eq!(st.missing_answers_provided, 1, "deduplicated");
     }
@@ -805,7 +578,7 @@ mod tests {
         let (_, _, g, q) = setup();
         let crowd = ParallelMajorityCrowd::new(vec![PerfectOracle::new(g)]);
         assert!(crowd.verify_answers_parallel(&q, &[]).is_empty());
-        assert_eq!(crowd.current_stats().closed_answers, 0);
+        assert_eq!(crowd.stats().closed_answers, 0);
     }
 
     #[test]
@@ -825,7 +598,7 @@ mod tests {
         assert_eq!(answer_set(&q, &d), true_answers(&g, &q));
         assert!(!report.is_partial(), "two alive experts still answer");
         assert_eq!(crowd.alive(), 2);
-        assert!(crowd.current_stats().faults >= 1);
+        assert!(crowd.stats().faults >= 1);
     }
 
     #[test]

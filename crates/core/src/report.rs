@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use qoco_crowd::CrowdStats;
+use qoco_crowd::{CrowdError, CrowdStats};
 use qoco_data::{EditLog, Tuple};
 
 /// Which phase of the cleaning loop a question belongs to.
@@ -48,7 +48,7 @@ impl fmt::Display for UnresolvedItem {
 }
 
 /// Everything a cleaning session did, for auditing and for the figures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CleaningReport {
     /// All edits applied, in order.
     pub edits: EditLog,
@@ -80,19 +80,7 @@ pub struct CleaningReport {
 impl CleaningReport {
     /// An empty report.
     pub fn new() -> Self {
-        CleaningReport {
-            edits: EditLog::new(),
-            iterations: 0,
-            wrong_answers: 0,
-            missing_answers: 0,
-            deletion_stats: CrowdStats::new(),
-            insertion_stats: CrowdStats::new(),
-            total_stats: CrowdStats::new(),
-            deletion_upper_bound: 0,
-            insertion_upper_bound: 0,
-            anomalies: 0,
-            unresolved: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Whether this is a *partial* report: some answers could not be
@@ -104,6 +92,30 @@ impl CleaningReport {
         !self.unresolved.is_empty()
     }
 
+    /// Record work abandoned because the crowd could not be reached.
+    pub(crate) fn give_up(
+        &mut self,
+        phase: UnresolvedPhase,
+        answer: Option<Tuple>,
+        e: &CrowdError,
+    ) {
+        let reason = e.to_string();
+        qoco_telemetry::event("clean.unresolved", || match &answer {
+            Some(t) => format!("{t}: {reason}"),
+            None => reason.clone(),
+        });
+        self.unresolved.push(UnresolvedItem {
+            phase,
+            answer,
+            reason,
+        });
+    }
+
+    /// Was work on answer `t` abandoned?
+    pub(crate) fn unresolved_about(&self, t: &Tuple) -> bool {
+        self.unresolved.iter().any(|u| u.answer.as_ref() == Some(t))
+    }
+
     /// The paper's three Figure 3f categories:
     /// (verify-answers, verify-tuples, fill-missing).
     pub fn question_breakdown(&self) -> (usize, usize, usize) {
@@ -113,12 +125,6 @@ impl CleaningReport {
         let fill_missing =
             self.total_stats.filled_variables + self.total_stats.missing_answers_provided;
         (verify_answers, verify_tuples, fill_missing)
-    }
-}
-
-impl Default for CleaningReport {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

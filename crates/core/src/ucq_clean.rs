@@ -1,7 +1,8 @@
 //! Cleaning views defined by *unions* of conjunctive queries.
 //!
-//! The paper (Section 2) states all results extend to unions of CQs; this
-//! module carries that out on top of the single-CQ algorithms:
+//! The paper (Section 2) states all results extend to unions of CQs; the
+//! Algorithm 3 loop in [`crate::cleaner`] carries that out on top of the
+//! single-CQ algorithms:
 //!
 //! * a tuple is a **true** answer of `U = Q₁ ∪ … ∪ Qₖ` iff it is a true
 //!   answer of *some* disjunct, so verification asks per-disjunct
@@ -12,18 +13,13 @@
 //!   asks which disjunct can host a witness (a satisfiability question on
 //!   the embedded `Qᵢ|t`) and runs Algorithm 2 there.
 
-use std::collections::BTreeSet;
-
-use qoco_crowd::{CrowdAccess, CrowdError};
+use qoco_crowd::CrowdAccess;
 use qoco_data::{Database, Tuple};
-use qoco_engine::{answer_set, Assignment, MaterializedView};
-use qoco_query::{embed_answer, UnionQuery};
+use qoco_engine::answer_set;
+use qoco_query::UnionQuery;
 
-use crate::cleaner::{CleaningConfig, CleaningReport};
-use crate::deletion::crowd_remove_wrong_answer_tracked;
+use crate::cleaner::{crowd_decides, drive, sequential, CleaningConfig, CleaningReport};
 use crate::error::CleanError;
-use crate::insertion::crowd_add_missing_answer_tracked;
-use crate::report::{UnresolvedItem, UnresolvedPhase};
 
 /// The union's answer set over `db`: the union of the disjuncts' answers.
 pub fn union_answer_set(uq: &UnionQuery, db: &Database) -> Vec<Tuple> {
@@ -37,257 +33,24 @@ pub fn union_answer_set(uq: &UnionQuery, db: &Database) -> Vec<Tuple> {
     out
 }
 
-/// The union of the views' cached answers — [`union_answer_set`] without
-/// re-evaluating any disjunct.
-fn union_cached_answers(views: &[MaterializedView]) -> Vec<Tuple> {
-    let mut out: Vec<Tuple> = views.iter().flat_map(|v| v.answers()).collect();
-    out.sort();
-    out.dedup();
-    out
-}
-
-/// Verify a union answer: true iff some disjunct certifies it. Asks the
-/// crowd per disjunct, stopping at the first YES.
-fn verify_union_answer<C: CrowdAccess + ?Sized>(
-    uq: &UnionQuery,
-    crowd: &mut C,
-    t: &Tuple,
-) -> Result<bool, CrowdError> {
-    for (i, q) in uq.disjuncts().iter().enumerate() {
-        let decision = qoco_telemetry::begin_decision();
-        let verdict = crowd.verify_answer(q, t);
-        qoco_telemetry::finish_decision(decision, "union.verify_answer", || {
-            qoco_telemetry::DecisionDetail {
-                question: format!("TRUE({}, {t})?", q.name()),
-                outcome: match &verdict {
-                    Ok(v) => v.to_string(),
-                    Err(e) => format!("error: {e}"),
-                },
-                evidence: vec![
-                    ("disjunct", format!("{}/{}", i + 1, uq.disjuncts().len())),
-                    (
-                        "rationale",
-                        "a union answer is true iff some disjunct certifies it".to_string(),
-                    ),
-                ],
-            }
-        });
-        if verdict? {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
 /// Clean a union view until `U(D′) = U(D_G)` as certified by the crowd —
-/// the Algorithm 3 loop lifted to unions.
+/// the Algorithm 3 loop over the union's disjuncts.
 pub fn clean_union_view<C: CrowdAccess + ?Sized>(
     uq: &UnionQuery,
     db: &mut Database,
     crowd: &mut C,
     config: CleaningConfig,
 ) -> Result<CleaningReport, CleanError> {
-    let mut report = CleaningReport::new();
-    let mut verified: BTreeSet<Tuple> = BTreeSet::new();
-    let mut skipped: BTreeSet<Tuple> = BTreeSet::new();
-    let mut split = config.split.build();
-    let mut first = true;
-    // One materialized view per disjunct; every edit from the tracked
-    // Algorithm 1/2 runs notifies all of them, so each disjunct's answer
-    // set stays cached across the whole session.
-    let mut views: Vec<MaterializedView> = uq
-        .disjuncts()
-        .iter()
-        .map(|q| MaterializedView::new(q.clone(), db))
-        .collect();
-
-    loop {
-        for v in views.iter_mut() {
-            v.sync(db);
-        }
-        let unverified: Vec<Tuple> = union_cached_answers(&views)
-            .into_iter()
-            .filter(|t| !verified.contains(t) && !skipped.contains(t))
-            .collect();
-        if !first && unverified.is_empty() {
-            break;
-        }
-        first = false;
-        report.iterations += 1;
-        if report.iterations > config.max_iterations {
-            return Err(CleanError::IterationBudget {
-                budget: config.max_iterations,
-            });
-        }
-
-        // ---- deletion: purge a wrong answer from every producing disjunct
-        let del_before = crowd.stats();
-        for t in unverified {
-            if !views.iter().any(|v| v.contains(&t)) {
-                continue;
-            }
-            match verify_union_answer(uq, crowd, &t) {
-                Ok(true) => {
-                    verified.insert(t);
-                    continue;
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    report.unresolved.push(UnresolvedItem {
-                        phase: UnresolvedPhase::Verify,
-                        answer: Some(t.clone()),
-                        reason: e.to_string(),
-                    });
-                    skipped.insert(t);
-                    continue;
-                }
-            }
-            let mut removal_failed = false;
-            for (i, q) in uq.disjuncts().iter().enumerate() {
-                if views[i].contains(&t) {
-                    let out = crowd_remove_wrong_answer_tracked(
-                        q,
-                        db,
-                        &t,
-                        crowd,
-                        config.deletion,
-                        &mut views,
-                    )?;
-                    report.deletion_upper_bound += out.upper_bound;
-                    report.anomalies += out.anomalies;
-                    report.edits.extend(out.edits);
-                    if let Some(e) = out.failure {
-                        report.unresolved.push(UnresolvedItem {
-                            phase: UnresolvedPhase::Delete,
-                            answer: Some(t.clone()),
-                            reason: e.to_string(),
-                        });
-                        skipped.insert(t.clone());
-                        removal_failed = true;
-                        break;
-                    }
-                }
-            }
-            if !removal_failed {
-                // counted only when every hosting disjunct finished its
-                // removal — a crowd failure leaves the answer in the view
-                report.wrong_answers += 1;
-            }
-        }
-        report
-            .deletion_stats
-            .absorb(&crowd.stats().since(&del_before));
-
-        // ---- insertion: find missing answers via any disjunct
-        let ins_before = crowd.stats();
-        'insertion: loop {
-            let known = union_cached_answers(&views);
-            // ask each disjunct's oracle view for a missing answer
-            let mut found = None;
-            for q in uq.disjuncts() {
-                match crowd.next_missing_answer(q, &known) {
-                    Ok(Some(t)) => {
-                        found = Some(t);
-                        break;
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        report.unresolved.push(UnresolvedItem {
-                            phase: UnresolvedPhase::Insert,
-                            answer: None,
-                            reason: e.to_string(),
-                        });
-                        break 'insertion;
-                    }
-                }
-            }
-            let Some(t) = found else { break };
-            // pick the disjunct that can host a witness: the embedded
-            // query must be satisfiable w.r.t. the ground truth
-            let mut achieved = false;
-            let mut failed = false;
-            for (i, q) in uq.disjuncts().iter().enumerate() {
-                let Ok(q_t) = embed_answer(q, t.values()) else {
-                    continue;
-                };
-                let decision = qoco_telemetry::begin_decision();
-                let hostable = crowd.verify_satisfiable(&q_t, &Assignment::new());
-                qoco_telemetry::finish_decision(decision, "union.pick_host_disjunct", || {
-                    qoco_telemetry::DecisionDetail {
-                        question: format!("SAT(∅, {})?", q_t.name()),
-                        outcome: match &hostable {
-                            Ok(v) => v.to_string(),
-                            Err(e) => format!("error: {e}"),
-                        },
-                        evidence: vec![
-                            ("disjunct", format!("{}/{}", i + 1, uq.disjuncts().len())),
-                            ("missing_answer", t.to_string()),
-                            (
-                                "rationale",
-                                "a missing union answer needs one hosting disjunct; \
-                                 insertion runs on the first satisfiable embedding"
-                                    .to_string(),
-                            ),
-                        ],
-                    }
-                });
-                match hostable {
-                    Ok(true) => {}
-                    Ok(false) => continue,
-                    Err(e) => {
-                        report.unresolved.push(UnresolvedItem {
-                            phase: UnresolvedPhase::Insert,
-                            answer: Some(t.clone()),
-                            reason: e.to_string(),
-                        });
-                        skipped.insert(t.clone());
-                        failed = true;
-                        break;
-                    }
-                }
-                let out = crowd_add_missing_answer_tracked(
-                    q,
-                    db,
-                    &t,
-                    crowd,
-                    &mut *split,
-                    config.insertion,
-                    &mut views,
-                )?;
-                report.insertion_upper_bound += out.upper_bound;
-                report.edits.extend(out.edits);
-                if let Some(e) = out.failure {
-                    report.unresolved.push(UnresolvedItem {
-                        phase: UnresolvedPhase::Insert,
-                        answer: Some(t.clone()),
-                        reason: e.to_string(),
-                    });
-                    skipped.insert(t.clone());
-                    failed = true;
-                    break;
-                }
-                if out.achieved {
-                    achieved = true;
-                    verified.insert(t.clone());
-                    break;
-                }
-            }
-            if failed {
-                break 'insertion;
-            }
-            report.missing_answers += 1;
-            if !achieved {
-                report.anomalies += 1;
-            }
-        }
-        report
-            .insertion_stats
-            .absorb(&crowd.stats().since(&ins_before));
-    }
-
-    report.total_stats = report.deletion_stats;
-    report.total_stats.absorb(&report.insertion_stats);
-    Ok(report)
+    let estimator = &mut crowd_decides();
+    drive(
+        sequential(),
+        uq.name(),
+        uq.disjuncts(),
+        db,
+        crowd,
+        config,
+        estimator,
+    )
 }
 
 #[cfg(test)]

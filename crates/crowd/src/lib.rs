@@ -54,7 +54,9 @@ pub use oracle::Oracle;
 pub use perfect::PerfectOracle;
 pub use question::{Answer, Question, QuestionKind};
 pub use sampling::SamplingOracle;
-pub use session::{CrowdAccess, CrowdError, MajorityCrowd, RetryPolicy, SingleExpert};
+pub use session::{
+    ask_with_retry, CrowdAccess, CrowdError, MajorityCrowd, RetryPolicy, SingleExpert,
+};
 pub use stats::CrowdStats;
 pub use suspend::{
     install_suspend_hook, parse_tagged_value, tagged_value, PendingQuestion, SuspendSignal,

@@ -60,7 +60,8 @@ pub struct CrowdError {
 }
 
 impl CrowdError {
-    fn new(q: &Question, attempts: usize, last: OracleError) -> CrowdError {
+    /// The error for question `q`, unanswered after `attempts` asks.
+    pub fn new(q: &Question, attempts: usize, last: OracleError) -> CrowdError {
         CrowdError {
             question: format!("{q:?}"),
             attempts,
@@ -108,7 +109,7 @@ impl Default for RetryPolicy {
 /// Ask one expert one question under a retry policy. `dead` is the
 /// expert's permanent-failure latch: set when the expert drops, checked so
 /// later questions fail fast without bothering the oracle.
-fn ask_with_retry<O: Oracle>(
+pub fn ask_with_retry<O: Oracle + ?Sized>(
     oracle: &mut O,
     q: &Question,
     policy: &RetryPolicy,
@@ -445,17 +446,7 @@ impl<O: Oracle> MajorityCrowd<O> {
                 Ok(answer) => {
                     let b = answer.expect_bool();
                     answered += 1;
-                    self.stats.closed_answers += 1;
-                    match q {
-                        Question::VerifyAnswer { .. } => {
-                            self.stats.verify_answer_crowd_answers += 1
-                        }
-                        Question::VerifyFact(_) => self.stats.verify_fact_crowd_answers += 1,
-                        Question::VerifySatisfiable { .. } => {
-                            self.stats.satisfiable_crowd_answers += 1
-                        }
-                        _ => {}
-                    }
+                    self.stats.count_closed_answer(q);
                     if b {
                         yes += 1;
                     } else {

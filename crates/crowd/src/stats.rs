@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use crate::question::Question;
+
 /// Per-question-type counters for one cleaning session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CrowdStats {
@@ -92,6 +94,17 @@ impl CrowdStats {
     /// kept as its own name so call sites say what they mean.
     pub fn total_cost(&self) -> usize {
         self.total_crowd_answers()
+    }
+
+    /// Count one expert's answer to the closed question `q`.
+    pub fn count_closed_answer(&mut self, q: &Question) {
+        self.closed_answers += 1;
+        match q {
+            Question::VerifyAnswer { .. } => self.verify_answer_crowd_answers += 1,
+            Question::VerifyFact(_) => self.verify_fact_crowd_answers += 1,
+            Question::VerifySatisfiable { .. } => self.satisfiable_crowd_answers += 1,
+            _ => {}
+        }
     }
 
     /// Merge another ledger into this one.

@@ -12,7 +12,9 @@
 //!   satisfiability checks;
 //! * [`witness`] — witnesses `α(body(Q))` and the witness sets of answers;
 //! * [`view`] — materialized views with per-answer witness counts,
-//!   single-edit deltas and the edit-epoch refresh fallback;
+//!   single-edit deltas and the edit-epoch refresh fallback: what the
+//!   cleaners maintain while they edit, and what monitors a served view
+//!   (Section 1's deployment story);
 //! * [`whynot`] — the picky-operator analysis standing in for the WhyNot?
 //!   system \[60\], used by the Provenance split strategy (Section 5.2).
 
@@ -21,7 +23,6 @@
 
 pub mod assignment;
 pub mod eval;
-pub mod monitor;
 pub mod view;
 pub mod whynot;
 pub mod witness;
@@ -31,7 +32,6 @@ pub use eval::{
     all_assignments, answer_set, assignments_for_answer, evaluate, explain, is_satisfiable,
     EvalOptions, EvalResult,
 };
-pub use monitor::ViewMonitor;
 pub use view::{delta_satisfiable, MaterializedView, ViewDelta};
 pub use whynot::{frontier_split, why_not};
 pub use witness::{witness_of, witnesses_for_answer, Witness};

@@ -37,7 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use qoco_data::{Database, Edit, EditKind, Fact, Tuple};
+use qoco_data::{DataError, Database, Edit, EditKind, Fact, Tuple};
 use qoco_query::{Atom, ConjunctiveQuery, Inequality, Term};
 
 use crate::assignment::Assignment;
@@ -221,6 +221,20 @@ impl MaterializedView {
             .field("removed", delta.removed.len())
             .finish();
         delta
+    }
+
+    /// Apply `edit` to `db`, then bring every view in `views` up to date
+    /// with it incrementally. Returns whether the database changed.
+    pub fn apply_to_all(
+        db: &mut Database,
+        views: &mut [MaterializedView],
+        edit: &Edit,
+    ) -> Result<bool, DataError> {
+        let changed = db.apply(edit)?;
+        for view in views.iter_mut() {
+            view.apply_edit(db, edit);
+        }
+        Ok(changed)
     }
 
     fn delta_insert(&mut self, db: &Database, fact: &Fact) -> ViewDelta {
@@ -629,5 +643,97 @@ mod tests {
         let f2 = Fact::new(teams, tup!["GER", "EU"]);
         db.insert(f2.clone()).unwrap();
         assert!(delta_satisfiable(&q, &db, &f2));
+    }
+
+    #[test]
+    fn irrelevant_edits_are_free() {
+        let (schema, mut db, q) = setup();
+        let clubs = schema.rel_id("Clubs").unwrap();
+        let mut v = MaterializedView::new(q, &db);
+        let e = Edit::insert(Fact::new(clubs, tup!["X", "Bayern"]));
+        db.apply(&e).unwrap();
+        let delta = v.apply_edit(&db, &e);
+        assert!(delta.is_empty());
+        assert!(!v.is_relevant(&e.fact));
+    }
+
+    #[test]
+    fn insertion_delta_detects_new_answer() {
+        let (schema, mut db, q) = setup();
+        let mut v = MaterializedView::new(q, &db);
+        // ESP needs two finals and a Teams row; add them one by one
+        let games = schema.rel_id("Games").unwrap();
+        let teams = schema.rel_id("Teams").unwrap();
+        let edits = [
+            Edit::insert(Fact::new(
+                games,
+                tup!["11.07.10", "ESP", "NED", "Final", "1:0"],
+            )),
+            Edit::insert(Fact::new(
+                games,
+                tup!["12.07.98", "ESP", "NED", "Final", "4:2"],
+            )),
+            Edit::insert(Fact::new(teams, tup!["ESP", "EU"])),
+        ];
+        let mut last = ViewDelta::default();
+        for e in &edits {
+            db.apply(e).unwrap();
+            last = v.apply_edit(&db, e);
+        }
+        assert_eq!(last.added, vec![tup!["ESP"]]);
+        assert_eq!(v.answers(), vec![tup!["ESP"], tup!["GER"]]);
+    }
+
+    #[test]
+    fn apply_to_all_keeps_every_view_current() {
+        let (schema, mut db, q) = setup();
+        let teams = schema.rel_id("Teams").unwrap();
+        let by_team = parse_query(&schema, "T(x) :- Teams(x, c)").unwrap();
+        let mut views = [
+            MaterializedView::new(q.clone(), &db),
+            MaterializedView::new(by_team.clone(), &db),
+        ];
+        let e = Edit::delete(Fact::new(teams, tup!["GER", "EU"]));
+        assert!(MaterializedView::apply_to_all(&mut db, &mut views, &e).unwrap());
+        assert!(!MaterializedView::apply_to_all(&mut db, &mut views, &e).unwrap());
+        assert_eq!(views[0].answers(), answer_set(&q, &db));
+        assert_eq!(views[1].answers(), answer_set(&by_team, &db));
+    }
+
+    #[test]
+    fn refresh_resynchronizes() {
+        let (schema, mut db, q) = setup();
+        let teams = schema.rel_id("Teams").unwrap();
+        let mut v = MaterializedView::new(q, &db);
+        // mutate behind the view's back
+        db.remove(&Fact::new(teams, tup!["GER", "EU"])).unwrap();
+        let delta = v.refresh(&db);
+        assert_eq!(delta.removed, vec![tup!["GER"]]);
+        assert!(v.answers().is_empty());
+    }
+
+    #[test]
+    fn unify_respects_constants_and_repeated_vars() {
+        let (schema, _, q) = setup();
+        let games_atom = &q.atoms()[0];
+        let games = schema.rel_id("Games").unwrap();
+        // stage constant "Final" must match
+        let non_final = Fact::new(games, tup!["d", "X", "Y", "Group", "1:0"]);
+        assert!(unify(games_atom, &non_final).is_none());
+        let final_game = Fact::new(games, tup!["d", "X", "Y", "Final", "1:0"]);
+        let seed = unify(games_atom, &final_game).unwrap();
+        assert_eq!(
+            seed.get(&qoco_query::Var::new("x")),
+            Some(&qoco_data::Value::text("X"))
+        );
+        // repeated variables: E(v, v) unifies only with equal columns
+        let s2 = Schema::builder()
+            .relation("E", &["a", "b"])
+            .build()
+            .unwrap();
+        let q2 = parse_query(&s2, "(v) :- E(v, v)").unwrap();
+        let e_rel = s2.rel_id("E").unwrap();
+        assert!(unify(&q2.atoms()[0], &Fact::new(e_rel, tup!["p", "q"])).is_none());
+        assert!(unify(&q2.atoms()[0], &Fact::new(e_rel, tup!["p", "p"])).is_some());
     }
 }

@@ -8,8 +8,7 @@
 //!
 //! Run with: `cargo run --release --example imperfect_crowd`
 
-use qoco::core::multi::{clean_view_parallel, ParallelMajorityCrowd};
-use qoco::core::CleaningConfig;
+use qoco::core::{clean_view_parallel, CleaningConfig, ParallelMajorityCrowd};
 use qoco::crowd::{ImperfectOracle, PerfectOracle, SingleExpert};
 use qoco::datasets::{generate_soccer, plant_mixed, soccer_query, SoccerConfig};
 use qoco::engine::answer_set;

@@ -30,8 +30,12 @@ echo "== cargo fmt --check =="
 cargo fmt --all --check
 
 echo "== telemetry smoke-run =="
-# the quickstart example must run clean...
+# the quickstart example must run clean, and so must the union-view and
+# view-monitoring examples (the Algorithm 3 loop over two disjuncts, and
+# a MaterializedView tracking a live edit stream)...
 cargo run --release --example quickstart > /dev/null
+cargo run --release --example threshold_views > /dev/null
+cargo run --release --example view_monitoring > /dev/null
 # ...and the same Figure 1 scenario through qoco-cli must emit both a
 # non-trivial JSONL export covering the cleaning phases and a
 # Perfetto-loadable Chrome trace showing the parallel eval fan-out
@@ -468,6 +472,21 @@ fi
 grep -q 'torn or truncated' "$work/serve-corrupt.out" \
   || { echo "validate-requests wrong error on a torn line:" >&2; cat "$work/serve-corrupt.out" >&2; exit 1; }
 echo "request provenance: socket → access log → trace → journal → explain: OK"
+
+echo "== untrusted input: deeply nested JSON =="
+# 200,000 '[' is far under the body cap; the request must be refused with
+# a 4xx and the server must keep serving its parked sessions
+deep_body="$work/deep.json"
+head -c 200000 /dev/zero | tr '\0' '[' > "$deep_body"
+deep_code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$saddr/sessions" \
+  --data-binary "@$deep_body" || true)"
+case "$deep_code" in
+  4??) ;;
+  *) echo "serve: deep-nesting body answered '$deep_code', expected a 4xx" >&2; exit 1 ;;
+esac
+curl -sf "http://$saddr/health" | grep -q '"sessions":' \
+  || { echo "serve: /health stopped answering after the deep-nesting body" >&2; exit 1; }
+echo "deep-nesting body refused with $deep_code; /health still answers: OK"
 
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true

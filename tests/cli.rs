@@ -5,13 +5,18 @@
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use qoco::data::{load_dir, save_dir, tup, Database, Schema};
 use qoco::engine::answer_set;
 use qoco::query::parse_query;
 
+/// A fresh directory per call: the tests run as threads of one process, so
+/// the pid alone would let one test's fixtures overwrite another's.
 fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qoco-cli-test-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("qoco-cli-test-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use qoco::core::find_false_facts;
 use qoco::crowd::{PerfectOracle, SingleExpert};
 use qoco::data::{load_dir, save_dir, tup, Database, Edit, Fact, Schema, Value};
-use qoco::engine::{answer_set, ViewMonitor};
+use qoco::engine::{answer_set, MaterializedView};
 use qoco::query::{parse_query, Atom, ConjunctiveQuery, Inequality, Term, UnionQuery, Var};
 
 fn small_schema() -> std::sync::Arc<Schema> {
@@ -168,7 +168,7 @@ proptest! {
         ];
         let q = &queries[qi];
         let mut live = db.clone();
-        let mut monitor = ViewMonitor::new(q.clone(), &live);
+        let mut monitor = MaterializedView::new(q.clone(), &live);
         for (del, rel_choice, a, b) in edits {
             let fact = if rel_choice == 0 {
                 Fact::new(s.rel_id("E").unwrap(), tup![DOMAIN[a], DOMAIN[b]])
@@ -187,7 +187,7 @@ proptest! {
         }
     }
 
-    /// The incremental deltas of [`ViewMonitor::apply_edit`] must be
+    /// The incremental deltas of [`MaterializedView::apply_edit`] must be
     /// exactly the set difference between consecutive full re-evaluations
     /// — not just leave the maintained answer set correct.
     #[test]
@@ -207,7 +207,7 @@ proptest! {
         ];
         let q = &queries[qi];
         let mut live = db.clone();
-        let mut monitor = ViewMonitor::new(q.clone(), &live);
+        let mut monitor = MaterializedView::new(q.clone(), &live);
         let mut previous: BTreeSet<qoco::data::Tuple> =
             answer_set(q, &live).into_iter().collect();
         for (del, rel_choice, a, b) in edits {
